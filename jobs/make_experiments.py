@@ -1,433 +1,70 @@
 """Regenerate EXPERIMENTS.md from benchmarks/results/*.json.
 
-Embeds the paper's reference numbers (read off Figures 7-9 and the
-surrounding text — the paper reports its evaluation graphically, so values
-are approximate) next to the measured ones, plus the shape checks that the
-benchmarks assert. Run after ``pytest benchmarks/ --benchmark-only``.
+Each table's section (the paper's reference numbers next to the measured
+ones, and the shape its benchmark asserts) comes from its entry in
+``repro.harness.tables``. Run after ``pytest benchmarks/ --benchmark-only``.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
+
+from repro.harness.tables import TABLES
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 RESULTS = os.path.join(REPO, "benchmarks", "results")
 
-# Paper reference throughputs (events/second, approximate: read off the
-# log-scale figures; exact multiples quoted in the text are used where given).
-PAPER_T1 = {
-    ("seq n=3", "core"): "~1.5e6", ("seq n=3", "sase"): "~3e6 (above CORE)",
-    ("seq n=3", "esper"): "~1e5", ("seq n=3", "flink"): "~1e4",
-    ("seq n=5", "core"): "~1.5e6", ("seq n=5", "sase"): "~2e6 (above CORE)",
-    ("seq n=5", "esper"): "~8e4", ("seq n=5", "flink"): "~8e3",
-    ("seq n=7", "core"): "~1.5e6", ("seq n=7", "sase"): "~6e5",
-    ("seq n=7", "esper"): "~6e4", ("seq n=7", "flink"): "~5e3",
-    ("seq n=9", "core"): "~1.5e6", ("seq n=9", "sase"): "CORE/6 ≈ 2.5e5",
-    ("seq n=9", "esper"): "CORE/33 ≈ 4.5e4", ("seq n=9", "flink"): "CORE/500 ≈ 3e3",
-}
-PAPER_T2 = {
-    ("seq n=3, T=50", "core"): "~2e6", ("seq n=3, T=50", "sase"): "~2e5",
-    ("seq n=3, T=50", "esper"): "~1e5+", ("seq n=3, T=50", "flink"): "~5e4",
-    ("seq n=3, T=100", "core"): "~2e6", ("seq n=3, T=100", "sase"): "~3e4",
-    ("seq n=3, T=100", "esper"): "~5e4", ("seq n=3, T=100", "flink"): "~2e4",
-    ("seq n=3, T=150", "core"): "~2e6", ("seq n=3, T=150", "sase"): "~3e3",
-    ("seq n=3, T=150", "esper"): "~2e4", ("seq n=3, T=150", "flink"): "~5e3",
-    ("seq n=3, T=200", "core"): "~2e6", ("seq n=3, T=200", "sase"): "CORE/3800 ≈ 5e2",
-    ("seq n=3, T=200", "esper"): "<1e4", ("seq n=3, T=200", "flink"): "~2e3",
-}
-PAPER_T3 = {
-    ("core", "ALL"): "~1e6", ("core", "NEXT"): "~1e6",
-    ("core", "LAST"): "~1e6", ("core", "MAX"): "~1e6",
-    ("sase", "DEFAULT"): "~1e4 (from ~1e3 w/o strategy)",
-    ("esper", "DEFAULT"): "~1e4 (≥2 OOM below CORE)",
-    ("flink", "DEFAULT"): "~1e4 (≥2 OOM below CORE)",
-}
-PAPER_T4 = {
-    ("K3", "core"): ">1e6", ("K3", "sase"): "~1e4", ("K3", "esper"): "~1e4",
-    ("K3", "flink"): "~3e3",
-    ("K5", "core"): ">1e6", ("K5", "sase"): "~5e3", ("K5", "esper"): "~5e3",
-    ("K5", "flink"): "~2e3",
-    ("D3", "core"): ">1e6", ("D3", "sase"): "n/a (no OR)",
-    ("D3", "esper"): "~1e5", ("D3", "flink"): "~1e4",
-    ("D5", "core"): ">1e6", ("D5", "sase"): "n/a (no OR)",
-    ("D5", "esper"): "~3e4", ("D5", "flink"): "~5e3",
-}
-PAPER_T5 = {q: "~1e6" for q in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7")}
-PAPER_T5_OTHER = "~1e4 (≈2 OOM below CORE); partition-by (Q3/Q6) lifts Esper/SASE close to CORE"
+PREAMBLE = [
+    "# EXPERIMENTS — paper vs measured",
+    "",
+    "Reproduction of the evaluation section of *CORE: a COmplex event "
+    "Recognition Engine* (PVLDB 2022). The paper reports its results in "
+    "Figures 7–9; each figure is reproduced here as a table of numbers "
+    "(figures are out of scope). **Paper numbers are approximate** — "
+    "read off log-scale plots, with the exact multiples the text quotes "
+    "(6x/33x/500x/3800x) used where available.",
+    "",
+    "Measured numbers come from `benchmarks/results/*.json` (last "
+    "`pytest benchmarks/ --benchmark-only` run on this machine; "
+    "regenerate this file with `python jobs/make_experiments.py`). "
+    "Methodology follows Section 6 — in-memory pre-generated streams, "
+    "consumption policy on, enumeration capped at the first 10 results "
+    "per event — with the substitutions documented in DESIGN.md "
+    "(time-budgeted runs instead of 30 s; Python reimplementations of "
+    "the JVM comparators over the same compiled CEA; `tracemalloc` "
+    "instead of JVM memory polling; the baselines additionally carry a "
+    "100k-partial-match load-shedding cap so the exponential cells "
+    "terminate).",
+    "",
+    "**How to read**: absolute throughput is ~8–15x below the paper "
+    "across the board (pure-Python engines vs Java on a faster CPU). "
+    "The reproduction targets the *shape*: which system wins, the "
+    "flat-vs-degrading trends, and rough factors. Every shape claim "
+    "below is also asserted by the corresponding benchmark.",
+    "",
+]
 
 
-def _load(name):
-    p = os.path.join(RESULTS, f"{name}.json")
+def _load(results_dir: str, name: str):
+    p = os.path.join(results_dir, f"{name}.json")
     if not os.path.exists(p):
         return None
     with open(p) as f:
         return json.load(f)
 
 
-def _eps(v):
-    if v is None:
-        return "—"
-    try:
-        v = float(v)
-    except (TypeError, ValueError):
-        return str(v)
-    if math.isnan(v):
-        return "n/a"
-    if v >= 1000:
-        return f"{v:,.0f}"
-    return f"{v:.3g}"
-
-
-def _ratio(core, other):
-    try:
-        if other and not math.isnan(float(other)) and float(other) > 0:
-            return f"{float(core)/float(other):.1f}x"
-    except (TypeError, ValueError):
-        pass
-    return "—"
-
-
-def _md_table(header, rows):
-    out = ["| " + " | ".join(header) + " |",
-           "|" + "|".join("---" for _ in header) + "|"]
-    for r in rows:
-        out.append("| " + " | ".join(str(c) for c in r) + " |")
-    return "\n".join(out)
-
-
-def _core_of(rows, query):
-    for r in rows:
-        if r.get("query") == query and r.get("system") == "core":
-            return r
-    return None
-
-
-def build() -> str:
-    parts = [
-        "# EXPERIMENTS — paper vs measured",
-        "",
-        "Reproduction of the evaluation section of *CORE: a COmplex event "
-        "Recognition Engine* (PVLDB 2022). The paper reports its results in "
-        "Figures 7–9; each figure is reproduced here as a table of numbers "
-        "(figures are out of scope). **Paper numbers are approximate** — "
-        "read off log-scale plots, with the exact multiples the text quotes "
-        "(6x/33x/500x/3800x) used where available.",
-        "",
-        "Measured numbers come from `benchmarks/results/*.json` (last "
-        "`pytest benchmarks/ --benchmark-only` run on this machine; "
-        "regenerate this file with `python jobs/make_experiments.py`). "
-        "Methodology follows Section 6 — in-memory pre-generated streams, "
-        "consumption policy on, enumeration capped at the first 10 results "
-        "per event — with the substitutions documented in DESIGN.md "
-        "(time-budgeted runs instead of 30 s; Python reimplementations of "
-        "the JVM comparators over the same compiled CEA; `tracemalloc` "
-        "instead of JVM memory polling; the baselines additionally carry a "
-        "100k-partial-match load-shedding cap so the exponential cells "
-        "terminate).",
-        "",
-        "**How to read**: absolute throughput is ~8–15x below the paper "
-        "across the board (pure-Python engines vs Java on a faster CPU). "
-        "The reproduction targets the *shape*: which system wins, the "
-        "flat-vs-degrading trends, and rough factors. Every shape claim "
-        "below is also asserted by the corresponding benchmark.",
-        "",
-    ]
-
-    # ---------------- T1 ----------------
-    rows = _load("table1")
-    parts += [
-        "## Table 1 — sequence queries with output (paper Figure 7)",
-        "",
-        "Workload: `A1;…;An`, n ∈ {3,5,7,9}, count window T=100, uniform "
-        "stream over the query's types + 6 noise types, consumption on. "
-        "Regenerate: `pytest benchmarks/bench_table1_sequence.py "
-        "--benchmark-only` (or `spark-submit jobs/table1_sequence.py`).",
-        "",
-    ]
-    if rows:
-        body = []
-        for r in rows:
-            q, s = r["query"], r["system"]
-            core = _core_of(rows, q)
-            body.append(
-                (
-                    q, s, PAPER_T1.get((q, s), "—"), _eps(r["throughput_eps"]),
-                    _eps(r["update_eps"]), _eps(r["enum_ops"]),
-                    f"{r['memory_bytes']:,}",
-                    "1x" if s == "core" else _ratio(
-                        core["throughput_eps"], r["throughput_eps"]
-                    ),
-                )
-            )
-        parts.append(
-            _md_table(
-                ["query", "system", "paper e/s", "measured e/s",
-                 "measured update e/s", "measured enum out/s",
-                 "measured peak mem (B)", "CORE× (measured)"],
-                body,
-            )
-        )
-        c3 = _core_of(rows, "seq n=3")["throughput_eps"]
-        c9 = _core_of(rows, "seq n=9")["throughput_eps"]
-        parts += [
-            "",
-            f"Shape: CORE degrades only mildly in n ({_eps(c3)} → {_eps(c9)} "
-            "e/s, ~linear), while SASE- and FlinkCEP-style engines collapse "
-            "super-linearly (paper: 6x and 500x behind CORE at n=9; "
-            "measured: "
-            + _ratio(c9, next(r["throughput_eps"] for r in rows
-                              if r["query"] == "seq n=9" and r["system"] == "sase"))
-            + " and "
-            + _ratio(c9, next(r["throughput_eps"] for r in rows
-                              if r["query"] == "seq n=9" and r["system"] == "flink"))
-            + " respectively). CORE's memory stays O(window·|Q|) while the "
-            "baselines' grows with the materialized partial-match count "
-            "(paper: exponential in n). Deviations: (1) the paper's SASE "
-            "beats CORE at n=3/5 — our SASE-style baseline pays per-run "
-            "Python dispatch and starts below CORE; (2) our Esper-style "
-            "baseline degrades less steeply than the paper's Esper (its "
-            "state-grouped batch extension compresses Python constants); "
-            "(3) enumeration-throughput for the baselines is mostly inside "
-            "measurement noise (their 'enumeration' is inline "
-            "materialization), so it is reported as n/a.",
-            "",
-        ]
-    else:
-        parts += ["*(no results yet — run the benchmarks)*", ""]
-
-    # ---------------- T2 ----------------
-    rows = _load("table2")
-    parts += [
-        "## Table 2 — sequence queries without output (paper Figure 8 left)",
-        "",
-        "Workload: `A1;A2;A3` with A3 absent from the stream (the sought "
-        "complex event never occurs, so partial matches survive the whole "
-        "window), T ∈ {50,100,150,200}. Regenerate: "
-        "`pytest benchmarks/bench_table2_window.py --benchmark-only`.",
-        "",
-    ]
-    if rows:
-        body = []
-        for r in rows:
-            q, s = r["query"], r["system"]
-            core = _core_of(rows, q)
-            body.append(
-                (q, s, PAPER_T2.get((q, s), "—"), _eps(r["throughput_eps"]),
-                 "1x" if s == "core" else _ratio(
-                     core["throughput_eps"], r["throughput_eps"]))
-            )
-        parts.append(
-            _md_table(
-                ["query", "system", "paper e/s", "measured e/s",
-                 "CORE× (measured)"],
-                body,
-            )
-        )
-        s50 = next(r["throughput_eps"] for r in rows
-                   if r["query"].endswith("T=50") and r["system"] == "sase")
-        s200 = next(r["throughput_eps"] for r in rows
-                    if r["query"].endswith("T=200") and r["system"] == "sase")
-        parts += [
-            "",
-            "Shape: CORE is flat in T (the paper's headline claim) while "
-            f"SASE-style throughput falls {s50/s200:.0f}x from T=50 to "
-            "T=200 (paper: from ~1 OOM behind CORE at T=50 to 3 OOM / "
-            "3800x at T=200; measured gap at T=200: "
-            + _ratio(_core_of(rows, "seq n=3, T=200")["throughput_eps"], s200)
-            + " for SASE, "
-            + _ratio(
-                _core_of(rows, "seq n=3, T=200")["throughput_eps"],
-                next(r["throughput_eps"] for r in rows
-                     if r["query"].endswith("T=200") and r["system"] == "flink"),
-            )
-            + " for FlinkCEP-style). The Esper-style baseline degrades "
-            "monotonically but less steeply than the paper's Esper (same "
-            "Python-constant caveat as Table 1).",
-            "",
-        ]
-    else:
-        parts += ["*(no results yet — run the benchmarks)*", ""]
-
-    # ---------------- T3 ----------------
-    rows = _load("table3")
-    parts += [
-        "## Table 3 — selection strategies (paper Figure 8 right)",
-        "",
-        "Workload: `A1;A2;A3`, T=100, A3 hidden (no output, so every system "
-        "performs the same recognition task regardless of its strategy "
-        "semantics). CORE × {ALL, NEXT, LAST, MAX}; baselines use their "
-        "performance-improving default (skip-till-next). Regenerate: "
-        "`pytest benchmarks/bench_table3_selection.py --benchmark-only`.",
-        "",
-    ]
-    if rows:
-        body = []
-        for r in rows:
-            key = (r["system"], r["strategy"])
-            body.append(
-                (r["system"], r["strategy"], PAPER_T3.get(key, "—"),
-                 _eps(r["throughput_eps"]))
-            )
-        parts.append(
-            _md_table(["system", "strategy", "paper e/s", "measured e/s"], body)
-        )
-        parts += [
-            "",
-            "Shape: CORE is flat across all four strategies and stays ahead "
-            "of every baseline even with their strategies enabled — the "
-            "paper's conclusion that CORE's advantage comes from the "
-            "evaluation algorithm, not from selection-strategy heuristics. "
-            "The baselines do improve vs their Table-2 (T=100, ALL) "
-            "numbers, as in the paper (SASE ~1e3→1e4 there).",
-            "",
-        ]
-    else:
-        parts += ["*(no results yet — run the benchmarks)*", ""]
-
-    # ---------------- T4 ----------------
-    rows = _load("table4")
-    parts += [
-        "## Table 4 — iteration and disjunction (paper Figure 9 left)",
-        "",
-        "Workload: K3=`A1;A2+;A3`, K5=`A1;A2+;A3;A4+;A5`, "
-        "D3=`A1;(A2 OR A2');A3`, D5=`…;(A4 OR A4');A5`, T=100, noisy "
-        "uniform stream, outputs on. SASE has no disjunction (as in the "
-        "paper). Regenerate: `pytest benchmarks/bench_table4_operators.py "
-        "--benchmark-only`.",
-        "",
-    ]
-    if rows:
-        body = []
-        for r in rows:
-            q, s = r["query"], r["system"]
-            core = _core_of(rows, q)
-            body.append(
-                (q, s, PAPER_T4.get((q, s), "—"), _eps(r["throughput_eps"]),
-                 "1x" if s == "core" else _ratio(
-                     core["throughput_eps"], r["throughput_eps"]))
-            )
-        parts.append(
-            _md_table(
-                ["query", "system", "paper e/s", "measured e/s",
-                 "CORE× (measured)"],
-                body,
-            )
-        )
-        parts += [
-            "",
-            "Shape: CORE stays within a small factor of its sequence-query "
-            "throughput when iteration/disjunction are added, while every "
-            "baseline loses roughly an order of magnitude on iteration "
-            "(paper: Esper/SASE drop from ~1e6 on `A1;A2;A3` to ~1e4 on "
-            "K3) and the gaps widen with query length — matching the "
-            "paper's 2–3 OOM separation.",
-            "",
-        ]
-    else:
-        parts += ["*(no results yet — run the benchmarks)*", ""]
-
-    # ---------------- T5 ----------------
-    rows = _load("table5")
-    parts += [
-        "## Table 5 — stock-market queries Q1–Q7 (paper Figure 9 right)",
-        "",
-        "Workload: synthetic stock stream (substitute for the WPI trace, "
-        "calibrated to ≈100 events per 30 000 ms window as in appendix C), "
-        "queries Q1–Q7 verbatim from appendix C (Q7 reconstructed from its "
-        "Section-6 description), WITHIN 30000 [stock_time], CONSUME BY ANY, "
-        "Q3/Q6 PARTITION BY volume. Regenerate: "
-        "`pytest benchmarks/bench_table5_stock.py --benchmark-only`.",
-        "",
-        f"Paper: CORE {PAPER_T5['Q1']} and stable on all of Q1–Q7; other "
-        f"systems {PAPER_T5_OTHER}.",
-        "",
-    ]
-    if rows:
-        body = []
-        for r in rows:
-            q, s = r["query"], r["system"]
-            core = _core_of(rows, q)
-            body.append(
-                (q, s,
-                 PAPER_T5[q] if s == "core" else ("n/a (no OR)" if (
-                     s == "sase" and q in ("Q4", "Q5", "Q6", "Q7")) else "~1e4–1e5"),
-                 _eps(r["throughput_eps"]),
-                 "1x" if s == "core" else _ratio(
-                     core["throughput_eps"], r["throughput_eps"]))
-            )
-        parts.append(
-            _md_table(
-                ["query", "system", "paper e/s", "measured e/s",
-                 "CORE× (measured)"],
-                body,
-            )
-        )
-        parts += [
-            "",
-            "Shape: CORE is stable across all seven queries and leads on "
-            "every non-partitioned one. As in the paper, PARTITION BY "
-            "(Q3/Q6) *helps* the baselines — each partition holds few "
-            "events, shrinking their partial-match sets — while barely "
-            "moving CORE. Deviation: on Q7 (Kleene over disjunction) our "
-            "Esper/Flink baselines collapse harder than the paper's "
-            "(their skip-till-any run sets double per event between "
-            "consumption resets; even with the 100k-run shedding cap they "
-            "sit >3 OOM behind CORE vs the paper's ~2 OOM).",
-            "",
-        ]
-    else:
-        parts += ["*(no results yet — run the benchmarks)*", ""]
-
-    # ---------------- T6 ----------------
-    rows = _load("table6")
-    parts += [
-        "## Table 6 — distributed PARTITION BY (extra, beyond the paper)",
-        "",
-        "The paper leaves parallel execution as future work; this table "
-        "runs the partitioned stock queries both driver-sequentially (the "
-        "paper's model: one engine per partition in one thread) and "
-        "distributed over Spark tasks via `applyInPandas`, asserting "
-        "identical outputs. Regenerate: `pytest "
-        "benchmarks/bench_table6_spark.py --benchmark-only`.",
-        "",
-    ]
-    if rows:
-        body = [
-            (r["query"], f"{r['driver_eps']:,.0f}", f"{r['spark_eps']:,.0f}",
-             r["driver_outputs"], r["spark_outputs"])
-            for r in rows
-        ]
-        parts.append(
-            _md_table(
-                ["query", "driver e/s", "spark e/s", "driver outputs",
-                 "spark outputs"],
-                body,
-            )
-        )
-        parts += [
-            "",
-            "At this stream size (tens of thousands of events, 10 "
-            "partitions) Spark's scheduling/shuffle overhead dominates and "
-            "the driver path wins — consistent with the paper's observation "
-            "that partition-by slightly *reduces* CORE's throughput because "
-            "per-partition engines add routing overhead. The Spark path "
-            "exists for streams that exceed a single core; the Structured "
-            "Streaming variant (tested in tests/test_spark_streaming.py) "
-            "additionally keeps engine state in checkpointed stream state.",
-            "",
-        ]
-    else:
-        parts += ["*(no results yet — run the benchmarks)*", ""]
-
+def build(results_dir: str = RESULTS) -> str:
+    parts = list(PREAMBLE)
+    for table in TABLES:
+        parts += table.section(_load(results_dir, table.name))
     return "\n".join(parts)
 
 
 def main() -> None:
     md = build()
     out = os.path.join(REPO, "EXPERIMENTS.md")
-    with open(out, "w") as f:
+    with open(out, "w", encoding="utf-8") as f:
         f.write(md)
     print(f"wrote {out}")
 

@@ -32,7 +32,7 @@ class DetCEA:
     """Lazily determinized view of a CEA, shared by Algorithm 1."""
 
     def __init__(self, cea: CEA, strategy: str = "all"):
-        if strategy not in ("all", "next", "last", "max"):
+        if strategy not in ("all", "next"):
             raise ValueError(f"unknown selection strategy {strategy!r}")
         self.cea = cea
         self.index = cea.index
@@ -55,9 +55,6 @@ class DetCEA:
 
     def is_final(self, det_id: int) -> bool:
         return self._finals[det_id]
-
-    def nfa_states(self, det_id: int) -> FrozenSet[int]:
-        return self._sets[det_id]
 
     @property
     def n_det_states(self) -> int:

@@ -35,6 +35,8 @@ from ..cea.determinize import DetCEA
 from .enumerate import Match, enumerate_matches
 from .tecs import Node, TECS
 
+STRATEGIES = ("all", "next", "last", "max")
+
 
 class CoreEngine:
     """Single-partition CORE engine (the paper's Algorithm 1).
@@ -70,6 +72,11 @@ class CoreEngine:
         timed: bool = False,
         debug: bool = False,
     ):
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown selection strategy {strategy!r}; expected one of "
+                f"{STRATEGIES}"
+            )
         self.det = DetCEA(cea, strategy="next" if strategy == "next" else "all")
         self.strategy = strategy
         self.window = window

@@ -126,11 +126,6 @@ class TECS:
         return u
 
     # -- union-list operations --------------------------------------------
-    @staticmethod
-    def new_ulist(n: Node) -> List[Node]:
-        """A fresh union-list holding one non-union node."""
-        return [n]
-
     def merge(self, ul: List[Node]) -> Node:
         """Single node representing the union of the whole list (gadget e)."""
         acc = ul[-1]

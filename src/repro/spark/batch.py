@@ -40,19 +40,9 @@ def _clean(rec: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def run_group(
-    pdf: pd.DataFrame,
-    query: CompiledQuery,
-    engine: str,
-    limit: Optional[int],
-    partition_cols: Iterable[str],
-) -> pd.DataFrame:
-    """Run one engine over one (sorted) partition's events — the per-group
-    body of ``applyInPandas``, also reused by tests for driver-side runs."""
-    pdf = pdf.sort_values("pos")
-    pcols = list(partition_cols)
-    pkey = ",".join(str(pdf.iloc[0][c]) for c in pcols) if pcols else ""
-    eng = make_engine(
+def new_engine(query: CompiledQuery, engine: str, limit: Optional[int]) -> Any:
+    """One engine for one partition of ``query``."""
+    return make_engine(
         engine,
         query.cea,
         window=query.window,
@@ -60,14 +50,35 @@ def run_group(
         limit=limit,
         strategy=query.strategy,
     )
+
+
+def feed(
+    eng: Any, query: CompiledQuery, pdfs: Iterable[pd.DataFrame], pkey: str
+) -> pd.DataFrame:
+    """Feed each frame's rows to ``eng`` in ``pos`` order; return the
+    matches as :data:`MATCH_SCHEMA` rows labelled with partition ``pkey``."""
     rows: List[tuple] = []
-    for rec in pdf.to_dict("records"):
-        rec = _clean(rec)
-        pos = int(rec.pop("pos"))
-        ts = query.ts_of(rec, pos)
-        for (s, e, data) in eng.process(rec, ts=ts, pos=pos):
-            rows.append((pkey, s, e, ",".join(map(str, data))))
+    for pdf in pdfs:
+        for rec in pdf.sort_values("pos").to_dict("records"):
+            rec = _clean(rec)
+            pos = int(rec.pop("pos"))
+            ts = query.ts_of(rec, pos)
+            for (s, e, data) in eng.process(rec, ts=ts, pos=pos):
+                rows.append((pkey, s, e, ",".join(map(str, data))))
     return pd.DataFrame(rows, columns=["partition", "start", "end", "data"])
+
+
+def run_group(
+    pdf: pd.DataFrame,
+    query: CompiledQuery,
+    engine: str,
+    limit: Optional[int],
+    partition_cols: Iterable[str],
+) -> pd.DataFrame:
+    """Run one engine over one partition's events — the per-group body of
+    ``applyInPandas``, also reused by tests for driver-side runs."""
+    pkey = ",".join(str(pdf.iloc[0][c]) for c in partition_cols)
+    return feed(new_engine(query, engine, limit), query, [pdf], pkey)
 
 
 def run_batch(

@@ -26,8 +26,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from ..cea.ceql import CompiledQuery
-from ..engines import make_engine
-from .batch import MATCH_SCHEMA, _clean
+from .batch import MATCH_SCHEMA, feed, new_engine
 
 STATE_SCHEMA = "blob binary"
 
@@ -46,26 +45,11 @@ def make_stateful_func(query: CompiledQuery, engine: str = "core", limit=None):
             (blob,) = state.get
             eng = pickle.loads(bytes(blob))
         else:
-            eng = make_engine(
-                engine,
-                query.cea,
-                window=query.window,
-                consume=query.consume,
-                limit=limit,
-                strategy=query.strategy,
-            )
+            eng = new_engine(query, engine, limit)
         pkey = ",".join(str(k) for k in key) if query.partition_by else ""
-        rows = []
-        for pdf in pdfs:
-            pdf = pdf.sort_values("pos")
-            for rec in pdf.to_dict("records"):
-                rec = _clean(rec)
-                pos = int(rec.pop("pos"))
-                ts = query.ts_of(rec, pos)
-                for (s, e, data) in eng.process(rec, ts=ts, pos=pos):
-                    rows.append((pkey, s, e, ",".join(map(str, data))))
+        out = feed(eng, query, pdfs, pkey)
         state.update((pickle.dumps(eng),))
-        yield pd.DataFrame(rows, columns=["partition", "start", "end", "data"])
+        yield out
 
     return fn
 

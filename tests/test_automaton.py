@@ -161,5 +161,7 @@ def test_detcea_next_strategy_suppresses_unmark_branch():
 
 def test_detcea_rejects_unknown_strategy():
     cea = compile_cel(_atomic())
-    with pytest.raises(ValueError):
-        DetCEA(cea, strategy="bogus")
+    # LAST/MAX are engine-side filters over the ALL automaton.
+    for strategy in ("bogus", "last", "max"):
+        with pytest.raises(ValueError):
+            DetCEA(cea, strategy=strategy)

@@ -153,6 +153,13 @@ def test_last_strategy_one_match_per_start():
     assert set(batches[3]) == {(0, 3, (0, 2, 3))}  # latest B
 
 
+@pytest.mark.parametrize("strategy", ["LAST", "Next", "any", ""])
+def test_unknown_strategy_rejected(strategy):
+    # Anything outside all/next/last/max used to run as plain ALL.
+    with pytest.raises(ValueError):
+        CoreEngine(SEQ3, strategy=strategy)
+
+
 def test_brute_force_agreement_sanity():
     phi = cel.seq(A, cel.Plus(B), C)
     stream = stream_of("A", "B", "X", "B", "C")

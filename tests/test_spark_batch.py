@@ -30,6 +30,15 @@ def test_sequence_query_matches_duckdb_oracle(spark, seq_events):
     assert_equivalent(got, sql, events=seq_events)
 
 
+def test_oracle_detects_wrong_result(spark, seq_events):
+    cq = compile_query("SELECT * FROM S WHERE A; B; C WITHIN 20 events")
+    got = run_batch(spark, seq_events, cq)
+    sql = sequence_match_sql([["A"], ["B"], ["C"]], window=20)
+    wrong = got.withColumn("end", got["end"] + 1)
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, sql, events=seq_events)
+
+
 def test_sequence_query_no_window_oracle(spark):
     pdf = to_pandas(typed_stream(60, ["A", "B", "C"], seed=1))
     cq = compile_query("SELECT * FROM S WHERE A; B; C")
